@@ -25,6 +25,19 @@ SimTime ServerView::EstimateCompletion(SubsetMask subset) const {
   return completion;
 }
 
+const SnapshotQuery& PlanWorkspace::Find(int64_t query_id) const {
+  const SnapshotQuery* found = nullptr;
+  for (const SnapshotQuery& snap : buffer) {
+    if (snap.traced->query.id == query_id) {
+      found = &snap;
+      break;
+    }
+  }
+  SCHEMBLE_CHECK(found != nullptr)
+      << "plan references query " << query_id << " outside its snapshot";
+  return *found;
+}
+
 PolicyOutput ServingPolicy::OnIdle(
     const ServerView& /*view*/,
     const std::vector<const TracedQuery*>& /*buffer*/) {

@@ -101,10 +101,9 @@ struct PolicyOutput {
   SimTime overhead_us = 0;
 };
 
-/// Opaque per-caller scratch for the off-lock planning path. A policy that
-/// supports off-lock planning keeps ALL mutable planning state (DP
-/// workspaces, score caches) behind this interface instead of in policy
-/// members, so PlanOnView can run concurrently with OnArrival. Each
+/// Opaque per-caller planning scratch. A policy keeps ALL mutable planning
+/// state (DP workspaces, score caches) behind this interface instead of in
+/// policy members, so PlanOnView can run concurrently with OnArrival. Each
 /// planning caller owns exactly one instance (via CreatePlanState) and
 /// never shares it between threads.
 class PolicyPlanState {
@@ -113,42 +112,49 @@ class PolicyPlanState {
 };
 
 /// One buffered query as captured in a planning snapshot. `traced` points
-/// into the caller's immutable QueryTrace; `index` and `generation` are
-/// runtime bookkeeping the caller echoes back at commit time to detect
-/// queries that were assigned or finalized while planning ran off-lock
-/// (policies ignore both fields).
+/// into the caller's immutable QueryTrace; `index` (the trace index) and
+/// `generation` are caller bookkeeping echoed back at commit time — the
+/// concurrent runtime uses the generation to detect queries that were
+/// assigned or finalized while planning ran off-lock. Policies ignore both
+/// fields.
 struct SnapshotQuery {
   const TracedQuery* traced = nullptr;
   int index = 0;
   uint64_t generation = 0;
 };
 
-/// Reusable snapshot-plus-plan workspace for off-lock planning. The caller
-/// fills `buffer` (and its own ServerView) inside a short critical
-/// section — reusing vector capacity so steady-state snapshots allocate
-/// nothing — then calls PlanOnView outside the lock, which writes
-/// `output`. `state` holds the policy's scratch from CreatePlanState.
+/// Reusable snapshot-plus-plan workspace. The caller fills `buffer` (and
+/// its own ServerView) — in the concurrent runtime inside a short critical
+/// section, reusing vector capacity so steady-state snapshots allocate
+/// nothing — then calls PlanOnView, which writes `output`. `state` holds
+/// the policy's scratch from CreatePlanState.
 struct PlanWorkspace {
   std::vector<SnapshotQuery> buffer;
   PolicyOutput output;
   std::unique_ptr<PolicyPlanState> state;
+
+  /// The snapshot entry a plan's assignment names; CHECK-fails when the
+  /// plan references a query outside the snapshot. Both serving drivers
+  /// map plan entries back to trace indices through this scan.
+  const SnapshotQuery& Find(int64_t query_id) const;
 };
 
 /// Decision interface between the serving drivers and a selection/
 /// scheduling strategy. The server owns queues, executors, aggregation and
-/// metrics; policies only decide which tasks run where and when.
-///
-/// Thread-safety contract: the stateful entry points (OnArrival / OnIdle)
-/// may touch unguarded mutable members (score caches) and need NOT be
-/// thread-safe — callers serialize them. The discrete-event EnsembleServer
-/// is single-threaded; the ConcurrentServer serializes them under its
-/// policy mutex. PlanOnView is the exception: it is const, keeps all its
-/// scratch in the caller-owned PlanWorkspace, and MUST be safe to run
-/// concurrently with OnArrival calls on the same policy object (any
-/// counters it advances must be atomic). Objects a policy only reads
-/// (SyntheticTask, AccuracyProfile, Aggregator, DiscrepancyPredictor)
-/// expose const, state-free read paths that ARE safe to share across
-/// threads.
+/// metrics; policies only decide which tasks run where and when, through
+/// two entry points:
+///  - OnArrival decides each query as it arrives. It may touch unguarded
+///    mutable members (score caches) and need NOT be thread-safe: callers
+///    serialize it (the discrete-event EnsembleServer is single-threaded;
+///    the ConcurrentServer holds its domain mutex).
+///  - PlanOnView plans the buffered queries against a server view. It is
+///    const, keeps all its scratch in the caller-owned PlanWorkspace, and
+///    MUST be safe to run concurrently with OnArrival on the same policy
+///    object (any counters it advances must be atomic). Both drivers call
+///    it whenever the buffer is non-empty and capacity is free.
+/// Objects a policy only reads (SyntheticTask, AccuracyProfile,
+/// Aggregator, DiscrepancyPredictor) expose const, state-free read paths
+/// that ARE safe to share across threads.
 class ServingPolicy {
  public:
   virtual ~ServingPolicy() = default;
@@ -159,37 +165,29 @@ class ServingPolicy {
   virtual ArrivalDecision OnArrival(const TracedQuery& query,
                                     const ServerView& view) = 0;
 
-  /// Called whenever an executor becomes idle while the buffer is
-  /// non-empty. `buffer` is ordered by arrival. Returning an empty output
-  /// leaves the buffer untouched.
-  virtual PolicyOutput OnIdle(const ServerView& view,
-                              const std::vector<const TracedQuery*>& buffer);
-
-  /// When true, the concurrent runtime plans off-lock: it snapshots server
-  /// state under its mutex, releases it, and calls PlanOnView against the
-  /// snapshot while arrivals keep flowing. Policies returning true must
-  /// implement CreatePlanState/PlanOnView per the contract above and keep
-  /// OnIdle consistent with PlanOnView (the discrete-event driver still
-  /// uses OnIdle).
-  virtual bool SupportsOffLockPlanning() const { return false; }
-
   /// Creates the caller-owned scratch PlanOnView works against. Callers
-  /// create one per planning thread and reuse it across calls. Returns
-  /// null when off-lock planning is unsupported.
+  /// create one per planning thread (once per run) and reuse it across
+  /// calls. The base returns null: it has nothing to plan.
   virtual std::unique_ptr<PolicyPlanState> CreatePlanState() const {
     return nullptr;
   }
 
   /// Const planning entry point: reads `view` and `ws->buffer` (a snapshot
-  /// of the central query buffer in arrival order), writes
-  /// `ws->output`, and keeps every piece of mutable scratch inside `ws`.
-  /// Must produce the same decisions OnIdle would for an identical
-  /// view/buffer. The base implementation plans nothing.
+  /// of the central query buffer in arrival order), writes `ws->output`,
+  /// and keeps every piece of mutable scratch inside `ws`. The base
+  /// implementation plans nothing.
   virtual void PlanOnView(const ServerView& view, PlanWorkspace* ws) const;
 
   /// Per-query latency charged before an arriving query becomes visible to
   /// OnArrival (the difficulty predictor's inference time in Schemble).
   virtual SimTime ArrivalProcessingDelay() const { return 0; }
+
+  /// Retired planning hooks with no caller in src/: both drivers plan
+  /// through CreatePlanState + PlanOnView. They remain only because the
+  /// perfbench TimedPolicy decorator still overrides them.
+  virtual PolicyOutput OnIdle(const ServerView& view,
+                              const std::vector<const TracedQuery*>& buffer);
+  virtual bool SupportsOffLockPlanning() const { return false; }
 };
 
 }  // namespace schemble

@@ -126,7 +126,6 @@ ConcurrentServer::ConcurrentServer(const SyntheticTask& task,
     dom.speedup = options_.speedup;
     dom.queue_capacity = options_.queue_capacity;
     dom.inbox_capacity = options_.inbox_capacity;
-    dom.service_mode = options_.service_mode;
     dom.steal_batch = options_.steal_batch;
     dom.rebalance_period = options_.rebalance_period;
     dom.batching = options_.batching;
@@ -163,54 +162,14 @@ ConcurrentServer::LockStatsSnapshot ConcurrentServer::lock_stats() const {
 
 ConcurrentServer::SchedulerStatsSnapshot ConcurrentServer::scheduler_stats(
     int domain) const {
-  const SchedulerDomain::StatsSnapshot s =
-      domains_[static_cast<size_t>(domain)]->stats();
-  SchedulerStatsSnapshot snapshot;
-  snapshot.plans = s.plans;
-  snapshot.plan_commits = s.plan_commits;
-  snapshot.plans_invalidated = s.plans_invalidated;
-  snapshot.replans = s.replans;
-  snapshot.replans_skipped = s.replans_skipped;
-  snapshot.steals = s.steals;
-  snapshot.stolen = s.stolen;
-  snapshot.rebalances = s.rebalances;
-  snapshot.donated = s.donated;
-  snapshot.failstops = s.failstops;
-  snapshot.requeues = s.requeues;
-  snapshot.stale_tasks_dropped = s.stale_tasks_dropped;
-  snapshot.batches_executed = s.batches_executed;
-  snapshot.tasks_batched = s.tasks_batched;
-  return snapshot;
+  return domains_[static_cast<size_t>(domain)]->stats();
 }
 
 ConcurrentServer::SchedulerStatsSnapshot ConcurrentServer::scheduler_stats()
     const {
   SchedulerStatsSnapshot total;
-  for (int d = 0; d < num_domains(); ++d) {
-    const SchedulerStatsSnapshot s = scheduler_stats(d);
-    total.plans += s.plans;
-    total.plan_commits += s.plan_commits;
-    total.plans_invalidated += s.plans_invalidated;
-    total.replans += s.replans;
-    total.replans_skipped += s.replans_skipped;
-    total.steals += s.steals;
-    total.stolen += s.stolen;
-    total.rebalances += s.rebalances;
-    total.donated += s.donated;
-    total.failstops += s.failstops;
-    total.requeues += s.requeues;
-    total.stale_tasks_dropped += s.stale_tasks_dropped;
-    total.batches_executed += s.batches_executed;
-    total.tasks_batched += s.tasks_batched;
-  }
+  for (const auto& domain : domains_) total += domain->stats();
   return total;
-}
-
-int ConcurrentServer::query_index(int64_t query_id) const {
-  const auto it = id_to_index_.find(query_id);
-  SCHEMBLE_CHECK(it != id_to_index_.end())
-      << "unknown query id " << query_id;
-  return it->second;
 }
 
 void ConcurrentServer::FinalizeQuery(int domain, int index,
@@ -312,10 +271,6 @@ ServingMetrics ConcurrentServer::Run(const QueryTrace& trace) {
   ran_ = true;
   trace_ = &trace;
   const size_t n = trace.items.size();
-  id_to_index_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    id_to_index_[trace.items[i].query.id] = static_cast<int>(i);
-  }
   SimTime horizon = 0;
   for (const TracedQuery& tq : trace.items) {
     horizon = std::max(horizon, tq.arrival_time);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "common/hot_path.h"
@@ -110,6 +109,25 @@ SchedulerDomain::StatsSnapshot SchedulerDomain::stats() const {
   s.batches_executed = batches_executed_.load(std::memory_order_relaxed);
   s.tasks_batched = tasks_batched_.load(std::memory_order_relaxed);
   return s;
+}
+
+SchedulerDomain::StatsSnapshot& SchedulerDomain::StatsSnapshot::operator+=(
+    const StatsSnapshot& o) {
+  plans += o.plans;
+  plan_commits += o.plan_commits;
+  plans_invalidated += o.plans_invalidated;
+  replans += o.replans;
+  replans_skipped += o.replans_skipped;
+  steals += o.steals;
+  stolen += o.stolen;
+  rebalances += o.rebalances;
+  donated += o.donated;
+  failstops += o.failstops;
+  requeues += o.requeues;
+  stale_tasks_dropped += o.stale_tasks_dropped;
+  batches_executed += o.batches_executed;
+  tasks_batched += o.tasks_batched;
+  return *this;
 }
 
 SimTime SchedulerDomain::BacklogServiceTime(int model, int64_t queued) const {
@@ -505,7 +523,7 @@ SCHEMBLE_HOT void SchedulerDomain::AdmitBatch(const std::vector<int>& indices,
   if (notify_scheduler) scheduler_cv_.NotifyOne();
 }
 
-bool SchedulerDomain::PlanAndDispatch(bool off_lock, bool allow_skip,
+bool SchedulerDomain::PlanAndDispatch(bool allow_skip,
                                       uint64_t* last_planned_gen,
                                       PlanWorkspace* plan_ws,
                                       ServerView* view, SchedulerScratch* s) {
@@ -525,7 +543,7 @@ bool SchedulerDomain::PlanAndDispatch(bool off_lock, bool allow_skip,
     // skip the whole snapshot -> plan -> commit round. Tick-driven rounds
     // (allow_skip false) and the arrivals-done drain tail always plan, so
     // the force-mode stuck diagnostic below can still fire.
-    if (off_lock && allow_skip && !arrivals_done_ &&
+    if (allow_skip && !arrivals_done_ &&
         view_generation_ == *last_planned_gen) {
       // relaxed-ok: monotonic telemetry counter
       replans_skipped_.fetch_add(1, std::memory_order_relaxed);
@@ -554,83 +572,55 @@ bool SchedulerDomain::PlanAndDispatch(bool off_lock, bool allow_skip,
       }
     }
     if (!any_idle) return true;
-    if (off_lock) {
-      // Snapshot -> plan -> validate/commit. The short critical section
-      // only copies state; the policy plans against the immutable
-      // snapshot with the mutex RELEASED, so arrivals and completions
-      // keep flowing while the DP runs.
-      SnapshotBufferLocked(plan_ws);
-      // Remember the snapshot's generation, not the post-commit one: a
-      // foreign bump during the off-lock plan (arrival, completion) must
-      // force the next round to plan against the fresher state.
-      const uint64_t snapshot_gen = view_generation_;
-      lock.Release();
-      // relaxed-ok: monotonic telemetry counter
-      plans_.fetch_add(1, std::memory_order_relaxed);
-      policy_->PlanOnView(*view, plan_ws);
-      overhead = plan_ws->output.overhead_us;
-      lock.Acquire();
-      if (shutdown_) return false;
-      // Validation: a plan entry is committable only if its query's
-      // generation still matches the snapshot — otherwise the deadline
-      // thread, a worker, or a donation moved the query while we planned,
-      // and the entry is stale.
-      int64_t invalidated = 0;
-      for (const BufferedAssignment& assignment :
-           plan_ws->output.assignments) {
-        SCHEMBLE_CHECK_NE(assignment.subset, 0u);
-        const SnapshotQuery* snap = nullptr;
-        for (const SnapshotQuery& candidate : plan_ws->buffer) {
-          if (candidate.traced->query.id == assignment.query_id) {
-            snap = &candidate;
-            break;
-          }
-        }
-        SCHEMBLE_CHECK(snap != nullptr)
-            << "plan references a query outside its snapshot";
-        const QueryState& state = states_[static_cast<size_t>(snap->index)];
-        if (state.generation != snap->generation) {
-          ++invalidated;
-          continue;
-        }
-        SCHEMBLE_DCHECK(!state.finalized && state.assigned == 0u)
-            << "generation matched but the query moved on";
-        CommitLocked(snap->index, assignment.subset);
-        s->commits.push_back({snap->index, assignment.subset});
+    // Snapshot -> plan -> validate/commit. The short critical section only
+    // copies state; the policy plans against the immutable snapshot with
+    // the mutex RELEASED, so arrivals and completions keep flowing while
+    // the DP runs.
+    SnapshotBufferLocked(plan_ws);
+    // Remember the snapshot's generation, not the post-commit one: a
+    // foreign bump during the off-lock plan (arrival, completion) must
+    // force the next round to plan against the fresher state.
+    const uint64_t snapshot_gen = view_generation_;
+    lock.Release();
+    // relaxed-ok: monotonic telemetry counter
+    plans_.fetch_add(1, std::memory_order_relaxed);
+    policy_->PlanOnView(*view, plan_ws);
+    overhead = plan_ws->output.overhead_us;
+    lock.Acquire();
+    if (shutdown_) return false;
+    // Validation: a plan entry is committable only if its query's
+    // generation still matches the snapshot — otherwise the deadline
+    // thread, a worker, or a donation moved the query while we planned,
+    // and the entry is stale.
+    int64_t invalidated = 0;
+    for (const BufferedAssignment& assignment : plan_ws->output.assignments) {
+      SCHEMBLE_CHECK_NE(assignment.subset, 0u);
+      const SnapshotQuery& snap = plan_ws->Find(assignment.query_id);
+      const QueryState& state = states_[static_cast<size_t>(snap.index)];
+      if (state.generation != snap.generation) {
+        ++invalidated;
+        continue;
       }
-      plan_commits_.fetch_add(static_cast<int64_t>(s->commits.size()),
-                              // relaxed-ok: monotonic telemetry counter
-                              std::memory_order_relaxed);
-      if (invalidated > 0) {
-        plans_invalidated_.fetch_add(invalidated, std::memory_order_relaxed);
-        // Part of the plan went stale: immediately re-plan whatever is
-        // still buffered against fresh state (self-signal).
-        if (!buffer_.empty()) {
-          // relaxed-ok: monotonic telemetry counter
-          replans_.fetch_add(1, std::memory_order_relaxed);
-          scheduler_signal_ = true;
-          replanning = true;
-        }
-      }
-      *last_planned_gen = snapshot_gen;
-    } else {
-      // Compatibility path for stateful policies (the baselines): plan
-      // under the mutex, exactly the seed behaviour. No validation is
-      // needed — nothing can move while the lock is held.
-      s->pointers.clear();
-      for (int index : buffer_) {
-        s->pointers.push_back(&trace_->items[static_cast<size_t>(index)]);
-      }
-      const PolicyOutput output =
-          policy_->OnIdle(*view, s->pointers);  // serialized(mu_)
-      for (const BufferedAssignment& assignment : output.assignments) {
-        const int index = host_->query_index(assignment.query_id);
-        SCHEMBLE_CHECK_NE(assignment.subset, 0u);
-        CommitLocked(index, assignment.subset);
-        s->commits.push_back({index, assignment.subset});
-      }
-      overhead = output.overhead_us;
+      SCHEMBLE_DCHECK(!state.finalized && state.assigned == 0u)
+          << "generation matched but the query moved on";
+      CommitLocked(snap.index, assignment.subset);
+      s->commits.push_back({snap.index, assignment.subset});
     }
+    plan_commits_.fetch_add(static_cast<int64_t>(s->commits.size()),
+                            // relaxed-ok: monotonic telemetry counter
+                            std::memory_order_relaxed);
+    if (invalidated > 0) {
+      plans_invalidated_.fetch_add(invalidated, std::memory_order_relaxed);
+      // Part of the plan went stale: immediately re-plan whatever is still
+      // buffered against fresh state (self-signal).
+      if (!buffer_.empty()) {
+        // relaxed-ok: monotonic telemetry counter
+        replans_.fetch_add(1, std::memory_order_relaxed);
+        scheduler_signal_ = true;
+        replanning = true;
+      }
+    }
+    *last_planned_gen = snapshot_gen;
     idle_and_stuck = s->commits.empty() && arrivals_done_ && !buffer_.empty();
     // Snapshot for the off-lock error log below: buffer_ is guarded and
     // workers may finalize (and un-buffer) queries concurrently.
@@ -772,27 +762,11 @@ void SchedulerDomain::MaybeRebalance(SchedulerScratch* s) {
     donated_.fetch_add(static_cast<int64_t>(sent), std::memory_order_relaxed);
   }
   if (kept > 0) {
+    const std::span<const int> leftovers(s->donations.data(), kept);
     bool readmitted = false;
     {
       MutexLock lock(&mu_);
-      for (size_t i = 0; i < kept; ++i) {
-        const int index = s->donations[i];
-        QueryState& state = states_[static_cast<size_t>(index)];
-        if (state.finalized) continue;
-        state.owned = true;
-        state.buffered = true;
-        buffer_.push_back(index);
-        // The deadline thread may have popped (and skipped) this query's
-        // heap entry during the un-owned window; re-arm unconditionally —
-        // duplicate entries are dropped on pop via the finalized check.
-        if (options_.allow_rejection) {
-          const TracedQuery& tq = trace_->items[static_cast<size_t>(index)];
-          deadline_heap_.push({tq.deadline, index});
-        }
-        readmitted = true;
-      }
-      PublishBufferedLocked();
-      if (readmitted) ++view_generation_;
+      readmitted = RebufferLocked(leftovers);
     }
     if (readmitted) deadline_cv_.NotifyAll();
   }
@@ -821,11 +795,10 @@ void SchedulerDomain::AdmitterLoop() {
 }
 
 void SchedulerDomain::SchedulerLoop() {
-  const bool off_lock = policy_->SupportsOffLockPlanning();
   const bool multi = options_.num_domains > 1;
   const auto tick = RealDuration(options_.rebalance_period, options_.speedup);
   PlanWorkspace plan_ws;
-  if (off_lock) plan_ws.state = policy_->CreatePlanState();
+  plan_ws.state = policy_->CreatePlanState();
   ServerView view;
   SchedulerScratch scratch;
   SimTime last_rebalance = 0;
@@ -856,8 +829,8 @@ void SchedulerDomain::SchedulerLoop() {
     // Tick-driven rounds never skip: the periodic scan is also the
     // backstop that re-plans after pure time passage (availability
     // projections age even when no generation-bumping event fired).
-    if (!PlanAndDispatch(off_lock, !tick_fired, &last_planned_gen, &plan_ws,
-                         &view, &scratch)) {
+    if (!PlanAndDispatch(!tick_fired, &last_planned_gen, &plan_ws, &view,
+                         &scratch)) {
       return;
     }
 
@@ -1006,18 +979,7 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
           static_cast<SimTime>(static_cast<double>(nominal) * factor);
       ex.busy_until.store(start + service, std::memory_order_release);
       ex.busy.store(true, std::memory_order_release);
-      if (options_.service_mode == ServiceMode::kSleep) {
-        clock_->SleepUntil(start + service);
-      } else {
-        // Host-bound inference: burn CPU until the service interval
-        // passes.
-        volatile double sink = 0.0;
-        while (clock_->Now() < start + service) {
-          double acc = sink;
-          for (int it = 0; it < 256; ++it) acc += std::sqrt(acc + it);
-          sink = acc;
-        }
-      }
+      clock_->SleepUntil(start + service);
       ex.busy.store(false, std::memory_order_release);
       // relaxed-ok: advisory backlog hint; a stale read only delays a steal
       batches_executed_.fetch_add(1, std::memory_order_relaxed);
@@ -1025,19 +987,28 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
                                std::memory_order_relaxed);
 
       // Batch completion: one lock round-trip covers every coalesced task,
-      // with PR-7's per-task generation discipline intact — stale tasks
+      // with the per-task generation discipline intact — stale tasks
       // (query re-queued or re-assigned since dispatch) are dropped
       // individually, never the whole batch.
       finalizes.clear();
       bool notify = false;
       {
         MutexLock lock(&mu_);
+        const SimTime now = clock_->Now();
         for (const Task& task : batch.tasks) {
           const int index = task.query_index;
           QueryState& state = states_[static_cast<size_t>(index)];
           if (!state.finalized && state.generation == task.generation) {
+            // Rejection mode serves only what finished by the deadline
+            // (as EnsembleServer does): a late output is never credited,
+            // and the deadline thread finalizes the query with the
+            // on-time outputs, if any.
+            if (options_.allow_rejection &&
+                now > trace_->items[static_cast<size_t>(index)].deadline) {
+              continue;
+            }
             state.done |= SubsetMask{1} << ex.model;
-            state.last_done_time = clock_->Now();
+            state.last_done_time = now;
             if (state.done == state.assigned && ClaimFinalizeLocked(index)) {
               finalizes.push_back(
                   {index, state.done, state.last_done_time});
@@ -1071,6 +1042,27 @@ void SchedulerDomain::WorkerLoop(int executor_id) {
       PublishLoad();
     }
   }
+}
+
+bool SchedulerDomain::RebufferLocked(std::span<const int> indices) {
+  bool rebuffered = false;
+  for (const int index : indices) {
+    QueryState& state = states_[static_cast<size_t>(index)];
+    if (state.finalized) continue;
+    state.owned = true;
+    state.buffered = true;
+    buffer_.push_back(index);
+    if (options_.allow_rejection) {
+      const TracedQuery& tq = trace_->items[static_cast<size_t>(index)];
+      deadline_heap_.push({tq.deadline, index});
+    }
+    rebuffered = true;
+  }
+  if (rebuffered) {
+    PublishBufferedLocked();
+    ++view_generation_;
+  }
+  return rebuffered;
 }
 
 void SchedulerDomain::FailStopExecutor(int executor_id,
@@ -1148,29 +1140,12 @@ void SchedulerDomain::RequeueTasks(const std::vector<Task>& tasks) {
   // the scheduler's next planning round covers them; finalized queries
   // cannot appear here (a query is only finalizable while owned, and these
   // were un-owned for the whole window).
+  const std::span<const int> leftovers(to_route.data(), kept);
   bool readmitted = false;
   {
     MutexLock lock(&mu_);
-    for (size_t i = 0; i < kept; ++i) {
-      const int index = to_route[i];
-      QueryState& state = states_[static_cast<size_t>(index)];
-      if (state.finalized) continue;
-      state.owned = true;
-      state.buffered = true;
-      buffer_.push_back(index);
-      // Re-arm the deadline: the heap entry may have popped (and been
-      // skipped as un-owned) during the window; duplicates drop on pop.
-      if (options_.allow_rejection) {
-        const TracedQuery& tq = trace_->items[static_cast<size_t>(index)];
-        deadline_heap_.push({tq.deadline, index});
-      }
-      readmitted = true;
-    }
-    if (readmitted) {
-      PublishBufferedLocked();
-      scheduler_signal_ = true;
-      ++view_generation_;
-    }
+    readmitted = RebufferLocked(leftovers);
+    if (readmitted) scheduler_signal_ = true;
   }
   if (readmitted) {
     deadline_cv_.NotifyAll();

@@ -22,12 +22,6 @@ namespace schemble {
 
 class SchedulerDomain;
 
-/// How workers consume a task's service time. kSleep blocks on the OS
-/// timer (models accelerator-offloaded inference; scales past the host
-/// core count). kSpin burns CPU for the duration (models host-bound
-/// inference; scales only with real cores).
-enum class ServiceMode { kSleep, kSpin };
-
 /// Fault-injection profile of one executor (the stress harness's scenario
 /// dimensions; see DESIGN.md "Randomized stress harness"). The default is
 /// a clean executor, so pre-existing configurations are unaffected.
@@ -61,8 +55,6 @@ class DomainHost {
 
   virtual const QueryTrace& trace() const = 0;
   virtual Clock& clock() = 0;
-  /// Trace index for a query id (const-after-init map, lock-free reads).
-  virtual int query_index(int64_t query_id) const = 0;
   /// Records the final outcome of query `index` (aggregation, accuracy,
   /// metrics, run-completion accounting). Exactly-once per query across
   /// ALL domains — a second call for the same index is a CHECK failure,
@@ -94,7 +86,6 @@ struct SchedulerDomainOptions {
   int queue_capacity = 4096;
   /// Bounded capacity of the routed-arrival inbox.
   int inbox_capacity = 4096;
-  ServiceMode service_mode = ServiceMode::kSleep;
   /// Max queries moved per steal / per donation round.
   int steal_batch = 16;
   /// Virtual period of the scheduler's rebalance tick (multi-domain only):
@@ -190,11 +181,18 @@ class SchedulerDomain {
   int domain_id() const { return options_.domain_id; }
 
   /// Scheduler telemetry; safe to read after the run drains (or any time,
-  /// with per-counter consistency only).
+  /// with per-counter consistency only). ConcurrentServer reports it per
+  /// domain and summed over domains. The stealing/rebalancing counters
+  /// only advance with num_domains > 1.
   struct StatsSnapshot {
+    /// Planning rounds (PlanOnView calls, run outside the domain mutex).
     int64_t plans = 0;
+    /// Plan entries that passed generation validation and were committed.
     int64_t plan_commits = 0;
+    /// Plan entries dropped at commit because the query was assigned,
+    /// finalized or donated while planning ran off-lock.
     int64_t plans_invalidated = 0;
+    /// Immediate re-plan rounds triggered by invalidated entries.
     int64_t replans = 0;
     /// Scheduler rounds that skipped PlanOnView entirely because the view
     /// generation was unchanged since the last planned snapshot (no
@@ -221,6 +219,14 @@ class SchedulerDomain {
     /// exactly 1.0 on the unbatched path.
     int64_t batches_executed = 0;
     int64_t tasks_batched = 0;
+
+    /// Mean tasks per execution; 1.0 when nothing coalesced (or ran).
+    double mean_batch_occupancy() const {
+      return batches_executed > 0 ? static_cast<double>(tasks_batched) /
+                                        static_cast<double>(batches_executed)
+                                  : 1.0;
+    }
+    StatsSnapshot& operator+=(const StatsSnapshot& o);
   };
   StatsSnapshot stats() const;
   Mutex::Stats lock_stats() const { return mu_.stats(); }
@@ -310,7 +316,6 @@ class SchedulerDomain {
     std::vector<Commit> to_enqueue;
     std::vector<int> rejects;
     std::vector<Commit> commits;
-    std::vector<const TracedQuery*> pointers;
     std::vector<int> donations;
     DispatchScratch dispatch;
   };
@@ -327,15 +332,14 @@ class SchedulerDomain {
   void AdmitBatch(const std::vector<int>& indices, ServerView* view,
                   SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// One snapshot -> plan -> validate/commit round over the buffered
-  /// shard (or the serialized OnIdle fallback). Returns false on shutdown.
-  /// When `allow_skip` is set and the view generation equals
-  /// `*last_planned_gen`, the off-lock round is elided entirely (counted
-  /// in replans_skipped); the snapshot's generation is written back to
+  /// shard; the policy's PlanOnView runs with mu_ released. Returns false
+  /// on shutdown. When `allow_skip` is set and the view generation equals
+  /// `*last_planned_gen`, the round is elided entirely (counted in
+  /// replans_skipped); the snapshot's generation is written back to
   /// `*last_planned_gen` after every planned round.
-  bool PlanAndDispatch(bool off_lock, bool allow_skip,
-                       uint64_t* last_planned_gen, PlanWorkspace* plan_ws,
-                       ServerView* view, SchedulerScratch* s)
-      SCHEMBLE_EXCLUDES(mu_);
+  bool PlanAndDispatch(bool allow_skip, uint64_t* last_planned_gen,
+                       PlanWorkspace* plan_ws, ServerView* view,
+                       SchedulerScratch* s) SCHEMBLE_EXCLUDES(mu_);
   /// Thief side of work-stealing: when this domain has nothing buffered,
   /// nothing routed and an idle executor, pull a batch out of the deepest
   /// peer inbox and admit it here.
@@ -366,6 +370,15 @@ class SchedulerDomain {
   /// Marks `subset` assigned and removes the query from the buffer.
   /// Tasks are enqueued by the caller outside the lock.
   void CommitLocked(int index, SubsetMask subset) SCHEMBLE_REQUIRES(mu_);
+  /// Takes back queries that left the domain's ownership (a donation the
+  /// recipient's inbox refused, a re-queue the local inbox refused):
+  /// each one not finalized meanwhile is marked owned and buffered, pushed
+  /// onto the buffer and has its deadline re-armed — the deadline thread
+  /// may have popped and skipped its heap entry during the un-owned
+  /// window; duplicate entries drop on pop. Publishes the buffered count
+  /// and bumps view_generation_. Returns whether anything was re-buffered;
+  /// the caller sends its own notifications.
+  bool RebufferLocked(std::span<const int> indices) SCHEMBLE_REQUIRES(mu_);
   /// Claims finalization; returns false if already finalized here.
   bool ClaimFinalizeLocked(int index) SCHEMBLE_REQUIRES(mu_);
   /// Dispatches a batch of committed assignments onto this domain's
@@ -422,7 +435,7 @@ class SchedulerDomain {
   std::atomic<int64_t> inbox_depth_{0};
   std::atomic<int64_t> buffered_count_{0};
 
-  /// Guards policy calls, states_, buffer_, deadline_heap_. Stats
+  /// Guards OnArrival calls, states_, buffer_, deadline_heap_. Stats
   /// collection is on: bench_runtime reports per-domain critical-section
   /// pressure. Owner tracking keeps "completion work runs off-lock" a
   /// DCHECKed invariant. Rank kDomain: the first runtime lock on every

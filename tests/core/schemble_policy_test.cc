@@ -48,6 +48,19 @@ class SchemblePolicyTest : public ::testing::Test {
     return tq;
   }
 
+  /// Plans `buffer` through CreatePlanState + PlanOnView, the only
+  /// planning path either serving driver uses.
+  static PolicyOutput Plan(const SchemblePolicy& policy, const ServerView& view,
+                           const std::vector<const TracedQuery*>& buffer) {
+    PlanWorkspace ws;
+    ws.state = policy.CreatePlanState();
+    for (size_t i = 0; i < buffer.size(); ++i) {
+      ws.buffer.push_back({buffer[i], static_cast<int>(i), 0});
+    }
+    policy.PlanOnView(view, &ws);
+    return ws.output;
+  }
+
   SchemblePolicy MakeOraclePolicy(SchembleConfig config = {}) const {
     config.score_source = ScoreSource::kOracle;
     return SchemblePolicy(*task_, *profile_, nullptr, scorer_.get(),
@@ -100,7 +113,7 @@ TEST_F(SchemblePolicyTest, ImpossibleDeadlineRejectedWhenAllowed) {
   EXPECT_EQ(decision.action, ArrivalDecision::Action::kReject);
 }
 
-TEST_F(SchemblePolicyTest, OnIdleCommitsPlanEntries) {
+TEST_F(SchemblePolicyTest, PlanOnViewCommitsPlanEntries) {
   SchemblePolicy policy = MakeOraclePolicy();
   ServerView view = IdleView();
   // Models 1 and 2 busy; model 0 idle.
@@ -110,7 +123,7 @@ TEST_F(SchemblePolicyTest, OnIdleCommitsPlanEntries) {
   policy.OnArrival(tq1, view);
   policy.OnArrival(tq2, view);
   std::vector<const TracedQuery*> buffer = {&tq1, &tq2};
-  const PolicyOutput output = policy.OnIdle(view, buffer);
+  const PolicyOutput output = Plan(policy, view, buffer);
   ASSERT_FALSE(output.assignments.empty());
   // The earliest-deadline query must be dispatched on the idle model.
   EXPECT_EQ(output.assignments[0].query_id, 10);
@@ -127,7 +140,7 @@ TEST_F(SchemblePolicyTest, DpOverheadChargedAndAccumulated) {
   const TracedQuery tq = MakeTraced(20, 0.2, 0, 500 * kMillisecond);
   policy.OnArrival(tq, view);
   std::vector<const TracedQuery*> buffer = {&tq};
-  const PolicyOutput output = policy.OnIdle(view, buffer);
+  const PolicyOutput output = Plan(policy, view, buffer);
   EXPECT_GT(output.overhead_us, 0);
   EXPECT_EQ(policy.total_overhead_us(), output.overhead_us);
 }
@@ -143,7 +156,7 @@ TEST_F(SchemblePolicyTest, GreedyVariantProducesAssignments) {
   const TracedQuery tq = MakeTraced(30, 0.3, 0, 200 * kMillisecond);
   policy.OnArrival(tq, view);
   std::vector<const TracedQuery*> buffer = {&tq};
-  const PolicyOutput output = policy.OnIdle(view, buffer);
+  const PolicyOutput output = Plan(policy, view, buffer);
   EXPECT_FALSE(output.assignments.empty());
   EXPECT_EQ(output.overhead_us, 0);  // greedy is charged as free
 }

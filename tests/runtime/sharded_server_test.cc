@@ -354,8 +354,15 @@ TEST_F(ShardedSchembleTest, RebalanceDonatesBufferedBacklog) {
   // Cross-domain movement happened: the backlog left domain 0 through
   // donations, steals, or (typically) both.
   EXPECT_GT(sched.donated + sched.stolen, 0);
-  // The donor's counters live on domain 0.
-  EXPECT_EQ(server.scheduler_stats(0).donated, sched.donated);
+  // Domain 1 receives queries only by stealing from domain 0's inbox or
+  // through domain 0's donations. It may legitimately donate some of them
+  // back (the rebalance tick lets any deep buffer shed load to a peer under
+  // half its pressure), but never more than it received.
+  const ConcurrentServer::SchedulerStatsSnapshot donor =
+      server.scheduler_stats(0);
+  const ConcurrentServer::SchedulerStatsSnapshot recipient =
+      server.scheduler_stats(1);
+  EXPECT_LE(recipient.donated, donor.donated + recipient.stolen);
 }
 
 /// The multi-domain TSan target: four domains, 32 workers over a 3-model
